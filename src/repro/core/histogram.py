@@ -49,7 +49,7 @@ import numpy as np
 from ..data.schema import ColumnKind
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
+    classification_impurity_columns,
     variance_rows,
     weighted_children_impurity,
 )
@@ -229,13 +229,16 @@ def score_histogram(
         return None
     n_missing = hist.n_missing
     if criterion.is_classification:
-        stats = hist.counts.astype(np.float64)
-        cum = np.cumsum(stats, axis=0)[:-1]  # prefix: "bin <= t" per cut
-        total = stats.sum(axis=0)
-        n_left = cum.sum(axis=1)
+        # (k, bins) class-major counts; every sum below is over integers.
+        stats = hist.counts.T.astype(np.float64, order="C")
+        cum = np.cumsum(stats, axis=1)[:, :-1]  # prefix: "bin <= t" per cut
+        total = stats.sum(axis=1)
+        n_left = cum.sum(axis=0)
         n_right = total.sum() - n_left
-        left_imp = classification_impurity_rows(cum, criterion)
-        right_imp = classification_impurity_rows(total[None, :] - cum, criterion)
+        left_imp = classification_impurity_columns(cum, criterion)
+        right_imp = classification_impurity_columns(
+            total[:, None] - cum, criterion
+        )
     else:
         counts = hist.bin_counts.astype(np.float64)
         c_cum = np.cumsum(counts)[:-1]

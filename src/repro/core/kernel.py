@@ -9,18 +9,22 @@ once instead (the breadth-first / depth-next hybrid of the RF-training
 literature, see PAPERS.md):
 
 * one gather of ``y`` and of each candidate column per *level*, with rows
-  bucketed to frontier nodes through a node-contiguous partition array
-  (segment ids derived from the heap-path frontier order);
+  held node-contiguously (segment ids in heap-path frontier order);
 * per-node label statistics for classification in a single ``bincount``
   over ``segment * n_classes + y``;
-* the numeric best-split scan for classification batched across all
-  frontier nodes: one stable ``lexsort`` by ``(segment, value)``, global
-  integer cumulative class counts minus segment offsets, and one
-  vectorized impurity pass over every candidate boundary of every node;
-* when a frontier node's row count drops to the small-node cutoff, that
-  node switches depth-next — the scalar :func:`~repro.core.builder.
-  build_subtree` finishes its subtree, where batching overhead would
-  exceed the work.
+* presorted numeric columns (the presorted exact scan of Guillame-Bert &
+  Teytaud, see PAPERS.md): each candidate numeric column is stable-sorted
+  once per subtree call, and every later level derives its children's
+  sorted orders from the parent's with an O(n) stable partition along the
+  routing masks — no level sorts anything;
+* the numeric best-split scan batched across all frontier nodes: global
+  integer cumulative class counts minus segment offsets, held class-major
+  ``(n_classes, n_boundaries)``, and one impurity pass over every
+  candidate boundary of every node;
+* the categorical subset scan for classification batched the same way
+  (:func:`~repro.core.splits.categorical_classification_scan`): one
+  ``bincount`` of per-node category class counts, and one subset-mask
+  product and impurity pass per number of non-empty categories.
 
 **Exactness.**  The kernel is bit-identical to the scalar builder — the
 repo's ground-truth invariant — by construction:
@@ -28,20 +32,29 @@ repo's ground-truth invariant — by construction:
 * node ids are the same heap paths and all per-node RNG draws key off
   ``(seed, path)`` / ``(seed, path, column)``, so extra-trees reproduce
   the scalar draws regardless of traversal order;
+* a child's rows keep their parent's relative order (the scalar builder
+  takes ``ids[go_left]`` / ``ids[~go_left]`` too), so the scalar stable
+  argsort at a node sorts by ``(value, position in the parent)``.  The
+  parent's sorted order filtered to the child's rows is exactly that
+  order, and the stable partition is that filter for both children at
+  once.  Positions, not row ids, are what is ordered, so bootstrap
+  duplicates keep their place; NaN rows are left out of the root sort and
+  therefore of every descendant order, as the scalar scan drops them;
 * integer statistics (class counts) are exact under "global cumsum minus
-  segment offset", so the batched classification scan reproduces the
-  per-node cumulative counts digit for digit, and all downstream impurity
-  math runs through the very same row-vectorized functions
-  (:func:`~repro.core.impurity.classification_impurity_rows`,
-  :func:`~repro.core.impurity.weighted_children_impurity`) the scalar
-  scan uses, elementwise;
-* ``np.lexsort((values, segment))`` is stable, so within a segment it is
-  the same permutation as the scalar per-node stable argsort;
+  segment offset" and under any grouping of a subset sum, so the batched
+  classification scans reproduce the per-node counts digit for digit;
+* impurity scores go through
+  :func:`~repro.core.impurity.classification_impurity_columns`, the
+  scorer the scalar scan uses too; its class sum adds the per-class terms
+  in the order numpy's reduction over a short last axis uses, so every
+  score, and hence every ``argmin`` winner, is the same float;
 * floating-point accumulations whose result depends on summation order —
-  regression cumulative sums, node means, categorical subset scans — are
-  *not* re-associated: those cases call the existing per-column split
-  functions in :mod:`repro.core.splits` on the node-contiguous slices of
-  the level gather, which see exactly the arrays the scalar path sees;
+  regression cumulative sums, node means, per-category target sums — are
+  *not* re-associated: regression cumsums restart per segment slice, and
+  categorical regression columns call
+  :func:`~repro.core.splits.best_categorical_regression_split` on the
+  node-contiguous slices of the level gather, which see exactly the
+  arrays the scalar path sees;
 * cross-column tie-breaking keeps the scalar rule (strictly smaller
   ``(score, column)`` wins, i.e. ties go to the lower column index), and
   within a column the first boundary achieving the minimum score wins,
@@ -75,13 +88,14 @@ from .config import TREE_KERNELS, TreeConfig, TreeKind
 from .histogram import bin_indices
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
+    classification_impurity_columns,
     variance_rows,
     weighted_children_impurity,
 )
 from .splits import (
     CandidateSplit,
-    best_split_for_column,
+    best_categorical_regression_split,
+    categorical_classification_scan,
     random_split_for_column,
     route_training_rows,
 )
@@ -91,16 +105,6 @@ from .tree import TreeNode
 #: other env hooks (``REPRO_MP_KILL`` etc.) so CI legs can force a kernel
 #: without touching configs.  Checked at dispatch time.
 ENV_KERNEL = "REPRO_KERNEL"
-
-#: Frontier nodes with at most this many rows are finished depth-next by
-#: the scalar builder.  Any value is exact — the cutoff only moves work
-#: between two bit-identical code paths (the parity sweep pins several
-#: values) — so this is purely a performance knob.  On this NumPy stack
-#: the measured crossover is below a single row: fixed per-call overhead
-#: dominates scalar node construction at every node size, so the default
-#: is 0 (pure breadth-first) and the depth-next switch is an escape
-#: hatch for stacks where small-slice batching is comparatively slower.
-DEPTH_NEXT_CUTOFF = 0
 
 #: Empty threshold set: a degenerate hist-mode column offers no candidates.
 _NO_THRESHOLDS = np.empty(0)
@@ -263,125 +267,54 @@ def _first_per_group(groups: np.ndarray) -> np.ndarray:
     return np.nonzero(np.concatenate(([True], groups[1:] != groups[:-1])))[0]
 
 
-def _batched_numeric_classification(
-    column: int,
-    values: np.ndarray,
-    y_codes: np.ndarray,
-    seg: np.ndarray,
-    n_segments: int,
-    sizes: np.ndarray,
-    seg_counts: np.ndarray | None,
-    criterion: Impurity,
-    n_classes: int,
-) -> _BatchedNumericEntry:
-    """Case 1 (ordinal attribute, classification) over a whole frontier.
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]`` — segment start offsets with the end."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
-    The batched twin of :func:`~repro.core.splits.best_numeric_split`:
-    every intermediate quantity below reproduces the scalar scan's value
-    for each segment exactly (see the module docstring for the argument),
-    with one sort and one impurity pass for the entire level.
 
-    ``sizes`` is the per-segment row count and ``seg_counts`` the
-    per-segment integer class counts the level statistics pass already
-    produced (``None`` when the caller has no class counts, e.g. a
-    classification criterion forced onto a regression target) — reusing
-    them skips a full-level bincount per column.
+def _presort(values: np.ndarray) -> np.ndarray:
+    """Positions of the non-NaN values in stable ascending value order.
+
+    The one sort a numeric column gets per subtree call: the same stable
+    argsort the scalar scan runs on the node's NaN-free values.
     """
-    entry = _BatchedNumericEntry(column, n_segments)
-    present = ~np.isnan(values)
-    miss_counts: np.ndarray | None = None
-    if present.all():
-        # Fast path for NaN-free columns: no row compaction needed.
-        entry.n_missing = np.zeros(n_segments, dtype=np.int64)
-        vp = values
-        sp = seg
-        yc = y_codes
-        n_present = sizes
-    else:
-        absent = ~present
-        seg_absent = seg[absent]
-        entry.n_missing = np.bincount(seg_absent, minlength=n_segments)
-        vp = values[present]
-        sp = seg[present]
-        yc = y_codes[present]
-        n_present = sizes - entry.n_missing
-        miss_counts = np.bincount(
-            seg_absent * n_classes + y_codes[absent],
-            minlength=n_segments * n_classes,
-        ).reshape(n_segments, n_classes)
-    if vp.size == 0:
-        return entry
-    pres_starts = np.zeros(n_segments + 1, dtype=np.int64)
-    np.cumsum(n_present, out=pres_starts[1:])
+    present = np.flatnonzero(~np.isnan(values))
+    return present[np.argsort(values[present], kind="stable")]
 
-    # Stable sort by (segment, value).  ``vp`` is already grouped by
-    # segment (the level gather is node-contiguous), so sorting each
-    # segment's slice with the scalar's own stable argsort gives the
-    # identical permutation; ``lexsort`` computes the same order in one
-    # call, which wins when a level has many tiny segments (per-slice
-    # call overhead) and loses when it has a few huge ones (it re-sorts
-    # the already-grouped segment key).
-    if n_segments * 2048 <= vp.size:
-        order = np.empty(vp.size, dtype=np.int64)
-        for s in range(n_segments):
-            lo, hi = int(pres_starts[s]), int(pres_starts[s + 1])
-            order[lo:hi] = lo + np.argsort(vp[lo:hi], kind="stable")
-    else:
-        order = np.lexsort((vp, sp))
-    sv = vp[order]
-    ss = sp  # per-segment sorting never moves rows across segments
-    syc = yc[order]
 
-    # A boundary needs two present rows of the same segment, so segments
-    # the scalar scan rejects (n < 2, or no distinct values) simply
-    # contribute no boundaries here.
-    bmask = (sv[:-1] < sv[1:]) & (ss[:-1] == ss[1:])
-    bidx = np.nonzero(bmask)[0]
-    if bidx.size == 0:
-        return entry
-    bseg = ss[bidx]
-    seg_start = pres_starts[:-1]
-    bstart = seg_start[bseg]
-    n_left = bidx + 1 - bstart
-    n_right = n_present[bseg] - n_left
+def _partition_dest(
+    seq_seg: np.ndarray, go_left: np.ndarray, n_segments: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable two-way partition of a segment-grouped sequence, in O(n).
 
-    # Per-class cumulative counts: integer global cumsum minus the count
-    # at the segment start — exact, hence identical to per-node cumsums.
-    # The last class is the exact integer complement of the others (the
-    # scalar scan's own cumsums are integers too, so equality is literal),
-    # which saves one full cumsum pass — half the passes for binary jobs.
-    left_counts = np.empty((bidx.size, n_classes), dtype=np.float64)
-    cumz = np.empty(vp.size + 1, dtype=np.int64)
-    cumz[0] = 0
-    if n_classes == 2:
-        np.cumsum(syc, out=cumz[1:])
-        ones = cumz[bidx + 1] - cumz[bstart]
-        left_counts[:, 1] = ones
-        left_counts[:, 0] = n_left - ones
-    else:
-        acc = np.zeros(bidx.size, dtype=np.int64)
-        for cls in range(n_classes - 1):
-            np.cumsum(syc == cls, out=cumz[1:])
-            c = cumz[bidx + 1] - cumz[bstart]
-            left_counts[:, cls] = c
-            acc += c
-        left_counts[:, n_classes - 1] = n_left - acc
-    if seg_counts is None:
-        total_counts = np.bincount(
-            sp * n_classes + yc,
-            minlength=n_segments * n_classes,
-        ).reshape(n_segments, n_classes)
-    elif miss_counts is None:
-        total_counts = seg_counts
-    else:
-        total_counts = seg_counts - miss_counts
-    right_counts = total_counts[bseg] - left_counts
+    ``seq_seg`` is each entry's parent segment (non-decreasing) and
+    ``go_left`` its side.  Returns ``(dest, n_left, n_total)``: moving
+    entry ``i`` to ``dest[i]`` puts, inside each parent's block, its
+    left-goers first and then its right-goers, each in sequence order —
+    the children's blocks in next-level frontier order.  ``n_left`` and
+    ``n_total`` are per parent segment.
+    """
+    n_total = np.bincount(seq_seg, minlength=n_segments)
+    block = _exclusive_cumsum(n_total)
+    left_before = _exclusive_cumsum(go_left)
+    n_left = left_before[block[1:]] - left_before[block[:-1]]
+    start = block[seq_seg]
+    left_rank = left_before[:-1] - left_before[start]
+    right_rank = np.arange(seq_seg.size) - start - left_rank
+    dest = np.where(
+        go_left, start + left_rank, start + n_left[seq_seg] + right_rank
+    )
+    return dest, n_left, n_total
 
-    left_imp = classification_impurity_rows(left_counts, criterion)
-    right_imp = classification_impurity_rows(right_counts, criterion)
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
 
-    # First minimum per segment == the scalar np.argmin (first-min) rule.
+def _select_winners(
+    entry: _BatchedNumericEntry,
+    scores: np.ndarray,
+    bseg: np.ndarray,
+) -> None:
+    """First minimum per segment == the scalar ``np.argmin`` rule."""
     first_b = _first_per_group(bseg)
     counts_b = np.diff(np.append(first_b, bseg.size))
     seg_min = np.minimum.reduceat(scores, first_b)
@@ -391,20 +324,115 @@ def _batched_numeric_classification(
     winners = hit[hfirst]
     entry.best_pos[hseg[hfirst]] = winners
     entry.seg_scores[hseg[hfirst]] = scores[winners]
-    entry.n_left = n_left
-    entry.n_right = n_right
-    entry.sv = sv
-    entry.bidx = bidx
     entry.scores = scores
+
+
+def _sorted_boundaries(
+    entry: _BatchedNumericEntry,
+    values: np.ndarray,
+    order: np.ndarray,
+    seg: np.ndarray,
+    sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Candidate boundaries of one presorted column over a frontier.
+
+    ``order`` lists the level positions of the column's non-NaN rows,
+    grouped by segment and stable-sorted by value within each.  Records
+    the per-segment missing counts and sorted values on ``entry`` and
+    returns ``(bidx, bseg, pres_starts, n_present)`` — ``None`` when no
+    segment has two distinct present values.  A boundary needs two present
+    rows of the same segment, so segments the scalar scan rejects
+    (n < 2, or no distinct values) simply contribute no boundaries.
+    """
+    n_segments = sizes.size
+    ss = seg[order]
+    n_present = np.bincount(ss, minlength=n_segments)
+    entry.n_missing = sizes - n_present
+    sv = values[order]
+    entry.sv = sv
+    bidx = np.nonzero((sv[:-1] < sv[1:]) & (ss[:-1] == ss[1:]))[0]
+    if bidx.size == 0:
+        return None
+    entry.bidx = bidx
+    bseg = ss[bidx]
+    pres_starts = _exclusive_cumsum(n_present)
+    entry.n_left = bidx + 1 - pres_starts[bseg]
+    entry.n_right = n_present[bseg] - entry.n_left
+    return bidx, bseg, pres_starts, n_present
+
+
+def _batched_numeric_classification(
+    column: int,
+    values: np.ndarray,
+    order: np.ndarray,
+    y_codes: np.ndarray,
+    seg: np.ndarray,
+    sizes: np.ndarray,
+    criterion: Impurity,
+    n_classes: int,
+) -> _BatchedNumericEntry:
+    """Case 1 (ordinal attribute, classification) over a whole frontier.
+
+    The batched twin of :func:`~repro.core.splits.best_numeric_split`:
+    every intermediate quantity below reproduces the scalar scan's value
+    for each segment exactly (see the module docstring for the argument),
+    with one impurity pass for the entire level.  ``sizes`` is the
+    per-segment row count, ``order`` the column's presorted positions.
+    """
+    entry = _BatchedNumericEntry(column, sizes.size)
+    found = _sorted_boundaries(entry, values, order, seg, sizes)
+    if found is None:
+        return entry
+    bidx, bseg, pres_starts, n_present = found
+    n_left = entry.n_left
+    syc = y_codes[order]
+
+    # Per-class cumulative counts: integer global cumsum minus the count
+    # at the segment start — exact, hence identical to per-node cumsums.
+    # The same cumsum read at the segment ends gives each segment's
+    # present class totals.  The last class is the exact integer
+    # complement of the others, which saves one full cumsum pass — half
+    # the passes for binary jobs.
+    bstart = pres_starts[bseg]
+    seg_lo, seg_hi = pres_starts[:-1], pres_starts[1:]
+    left_counts = np.empty((n_classes, bidx.size), dtype=np.float64)
+    total_counts = np.empty((n_classes, sizes.size), dtype=np.float64)
+    cumz = np.zeros(syc.size + 1, dtype=np.int64)
+    left_acc = np.zeros(bidx.size, dtype=np.int64)
+    total_acc = np.zeros(sizes.size, dtype=np.int64)
+    if n_classes == 2:
+        counted = ((1, syc),)  # the cumsum of 0/1 codes counts class 1
+        last = 0
+    else:
+        counted = ((cls, syc == cls) for cls in range(n_classes - 1))
+        last = n_classes - 1
+    for cls, hits in counted:
+        np.cumsum(hits, out=cumz[1:])
+        c = cumz[bidx + 1] - cumz[bstart]
+        t = cumz[seg_hi] - cumz[seg_lo]
+        left_counts[cls] = c
+        total_counts[cls] = t
+        left_acc += c
+        total_acc += t
+    left_counts[last] = n_left - left_acc
+    total_counts[last] = n_present - total_acc
+    right_counts = total_counts[:, bseg] - left_counts
+
+    left_imp = classification_impurity_columns(left_counts, criterion)
+    right_imp = classification_impurity_columns(right_counts, criterion)
+    scores = weighted_children_impurity(
+        left_imp, n_left, right_imp, entry.n_right
+    )
+    _select_winners(entry, scores, bseg)
     return entry
 
 
 def _batched_numeric_regression(
     column: int,
     values: np.ndarray,
+    order: np.ndarray,
     y: np.ndarray,
     seg: np.ndarray,
-    n_segments: int,
     sizes: np.ndarray,
 ) -> _BatchedNumericEntry:
     """Case 1 (ordinal attribute, regression) over a whole frontier.
@@ -415,48 +443,16 @@ def _batched_numeric_regression(
     the exact same order as the scalar per-node scan — the per-call
     overhead that remains (two cumsums per segment) is a fraction of the
     full scalar :func:`~repro.core.splits.best_numeric_split` chain, and
-    the sort, boundary detection, variance scoring and argmin still run
-    once for the entire level.
+    boundary detection, variance scoring and argmin still run once for
+    the entire level.
     """
+    n_segments = sizes.size
     entry = _BatchedNumericEntry(column, n_segments)
-    present = ~np.isnan(values)
-    if present.all():
-        entry.n_missing = np.zeros(n_segments, dtype=np.int64)
-        vp = values
-        sp = seg
-        yp = y
-        n_present = sizes
-    else:
-        entry.n_missing = np.bincount(seg[~present], minlength=n_segments)
-        vp = values[present]
-        sp = seg[present]
-        yp = y[present]
-        n_present = sizes - entry.n_missing
-    if vp.size == 0:
+    found = _sorted_boundaries(entry, values, order, seg, sizes)
+    if found is None:
         return entry
-    pres_starts = np.zeros(n_segments + 1, dtype=np.int64)
-    np.cumsum(n_present, out=pres_starts[1:])
-
-    if n_segments * 2048 <= vp.size:
-        order = np.empty(vp.size, dtype=np.int64)
-        for s in range(n_segments):
-            lo, hi = int(pres_starts[s]), int(pres_starts[s + 1])
-            order[lo:hi] = lo + np.argsort(vp[lo:hi], kind="stable")
-    else:
-        order = np.lexsort((vp, sp))
-    sv = vp[order]
-    ss = sp  # per-segment sorting never moves rows across segments
-    sy = yp[order]
-
-    bmask = (sv[:-1] < sv[1:]) & (ss[:-1] == ss[1:])
-    bidx = np.nonzero(bmask)[0]
-    if bidx.size == 0:
-        return entry
-    bseg = ss[bidx]
-    seg_start = pres_starts[:-1]
-    bstart = seg_start[bseg]
-    n_left = bidx + 1 - bstart
-    n_right = n_present[bseg] - n_left
+    bidx, bseg, pres_starts, _ = found
+    sy = y[order]
 
     # Per-segment cumulative sums — each slice cumsum adds the same
     # numbers in the same order as the scalar scan, hence identical
@@ -475,24 +471,11 @@ def _batched_numeric_regression(
             tot_y2[s] = cum_y2[hi - 1]
     l_sum, l_sq = cum_y[bidx], cum_y2[bidx]
     r_sum, r_sq = tot_y[bseg] - l_sum, tot_y2[bseg] - l_sq
+    n_left, n_right = entry.n_left, entry.n_right
     left_imp = variance_rows(n_left.astype(float), l_sum, l_sq)
     right_imp = variance_rows(n_right.astype(float), r_sum, r_sq)
     scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
-
-    first_b = _first_per_group(bseg)
-    counts_b = np.diff(np.append(first_b, bseg.size))
-    seg_min = np.minimum.reduceat(scores, first_b)
-    hit = np.nonzero(scores == np.repeat(seg_min, counts_b))[0]
-    hseg = bseg[hit]
-    hfirst = _first_per_group(hseg)
-    winners = hit[hfirst]
-    entry.best_pos[hseg[hfirst]] = winners
-    entry.seg_scores[hseg[hfirst]] = scores[winners]
-    entry.n_left = n_left
-    entry.n_right = n_right
-    entry.sv = sv
-    entry.bidx = bidx
-    entry.scores = scores
+    _select_winners(entry, scores, bseg)
     return entry
 
 
@@ -592,19 +575,21 @@ def _batched_binned_numeric(
     n_bins = thresholds.size + 1
     cuts = n_bins - 1
     if criterion.is_classification:
+        # Class-major (k, segments, bins) counts; every sum over them is
+        # a sum of integers, so only the impurity scorer's order matters.
         stats = np.bincount(
-            (sp * n_bins + codes) * n_classes + yp,
-            minlength=n_segments * n_bins * n_classes,
-        ).reshape(n_segments, n_bins, n_classes).astype(np.float64)
-        cum = np.cumsum(stats, axis=1)[:, :-1, :]
-        total = stats.sum(axis=1)
-        n_left = cum.sum(axis=2)
-        n_right = total.sum(axis=1)[:, None] - n_left
-        left_imp = classification_impurity_rows(
-            cum.reshape(-1, n_classes), criterion
+            (yp * n_segments + sp) * n_bins + codes,
+            minlength=n_classes * n_segments * n_bins,
+        ).reshape(n_classes, n_segments, n_bins).astype(np.float64)
+        cum = np.cumsum(stats, axis=2)[:, :, :-1]
+        total = stats.sum(axis=2)
+        n_left = cum.sum(axis=0)
+        n_right = total.sum(axis=0)[:, None] - n_left
+        left_imp = classification_impurity_columns(
+            cum.reshape(n_classes, -1), criterion
         ).reshape(n_segments, cuts)
-        right_imp = classification_impurity_rows(
-            (total[:, None, :] - cum).reshape(-1, n_classes), criterion
+        right_imp = classification_impurity_columns(
+            (total[:, :, None] - cum).reshape(n_classes, -1), criterion
         ).reshape(n_segments, cuts)
     else:
         flat = sp * n_bins + codes
@@ -646,6 +631,67 @@ def _batched_binned_numeric(
     return entry
 
 
+def _extra_tree_split(
+    table: DataTable,
+    config: TreeConfig,
+    path: int,
+    candidate_columns: tuple[int, ...],
+    ids: np.ndarray,
+    y: np.ndarray,
+    criterion: Impurity,
+) -> tuple[CandidateSplit | None, np.ndarray | None, float]:
+    """One node's extra-trees split, as the scalar builder draws it.
+
+    The draws are keyed by ``(seed, path, column)``, so the scalar helpers
+    run per node on the level-gathered slices unchanged.  Returns the
+    split, the split column's values for the node's rows, and the seconds
+    spent gathering column values.
+    """
+    gather_s = 0.0
+    for col in extra_tree_column_order(config.seed, path, candidate_columns):
+        spec = table.column_spec(col)
+        tick = time.perf_counter()
+        vals = table.column(col)[ids]
+        gather_s += time.perf_counter() - tick
+        split = random_split_for_column(
+            col,
+            spec.kind,
+            vals,
+            y,
+            criterion,
+            table.n_classes,
+            extra_tree_split_rng(config.seed, path, col),
+            spec.n_categories,
+        )
+        if split is not None:
+            return split, vals, gather_s
+    return None, None, gather_s
+
+
+def _next_order(
+    order: np.ndarray,
+    alive: np.ndarray | None,
+    seg: np.ndarray,
+    go_left: np.ndarray,
+    new_pos: np.ndarray,
+    n_segments: int,
+) -> np.ndarray:
+    """A presorted order for the children's level, from the parent's.
+
+    Drops the rows of nodes that did not split (``alive`` False; ``None``
+    when every node split), then stably partitions each node's block into
+    its left and right child's blocks and maps positions to the next
+    level.  Filtering a sorted sequence keeps it sorted, so each child's
+    block is its parent's sorted order restricted to the child's rows.
+    """
+    if alive is not None:
+        order = order[alive[order]]
+    dest, _, _ = _partition_dest(seg[order], go_left[order], n_segments)
+    out = np.empty_like(order)
+    out[dest] = new_pos[order]
+    return out
+
+
 def build_subtree_vectorized(
     table: DataTable,
     config: TreeConfig,
@@ -653,15 +699,14 @@ def build_subtree_vectorized(
     candidate_columns: tuple[int, ...] | None = None,
     root_path: int = 1,
     counters: KernelCounters | None = None,
-    small_node_cutoff: int = DEPTH_NEXT_CUTOFF,
     thresholds: dict[int, np.ndarray] | None = None,
 ) -> TreeNode:
     """Build ``Delta_x`` level-synchronously; bit-identical to the scalar
     :func:`~repro.core.builder.build_subtree`.
 
-    Processes the whole frontier per iteration; frontier nodes at or
-    below ``small_node_cutoff`` rows switch depth-next and are finished
-    by the scalar builder rooted at their heap path.
+    Processes the whole frontier per iteration.  A level's rows are one
+    node-contiguous array; the next level's rows and every presorted
+    column order come from the current level's by a stable partition.
     """
     if candidate_columns is None:
         candidate_columns = sample_candidate_columns(config, table.n_columns)
@@ -669,48 +714,24 @@ def build_subtree_vectorized(
     criterion = config.resolved_criterion(is_clf)
     n_classes = table.n_classes
     is_extra = config.tree_kind is TreeKind.EXTRA
+    exact_numeric = not is_extra and thresholds is None
     target = table.target
     gather_s = 0.0
 
     root_holder: list[TreeNode] = []
-
-    def attach_node(node: TreeNode, attach) -> None:
-        if attach is None:
-            root_holder.append(node)
-        else:
-            parent, side = attach
-            setattr(parent, side, node)
-
-    # Frontier entries: (row ids, heap path, attach) — one whole level.
-    frontier: list = [(np.asarray(row_ids, dtype=np.int64), root_path, None)]
-    while frontier:
-        big = []
-        for ids, path, attach in frontier:
-            if ids.size <= small_node_cutoff:
-                # Depth-next: the scalar builder finishes small subtrees.
-                attach_node(
-                    build_subtree(
-                        table,
-                        config,
-                        ids,
-                        candidate_columns,
-                        root_path=path,
-                        thresholds=thresholds,
-                    ),
-                    attach,
-                )
-            else:
-                big.append((ids, path, attach))
-        if not big:
-            break
-
-        m = len(big)
-        sizes = np.fromiter(
-            (entry[0].size for entry in big), dtype=np.int64, count=m
-        )
-        starts = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        level_rows = np.concatenate([entry[0] for entry in big])
+    # The frontier of one level: node-contiguous rows, per-node row
+    # counts, heap paths, and where each node attaches (parent, side).
+    level_rows = np.asarray(row_ids, dtype=np.int64)
+    sizes = np.array([level_rows.size], dtype=np.int64)
+    paths: list[int] = [root_path]
+    attaches: list = [None]
+    # Presorted exact-scan orders, per numeric candidate column: level
+    # positions of the non-NaN rows, grouped by node, and stable-sorted by
+    # value within each node.  Sorted once, at the first active level.
+    orders: dict[int, np.ndarray] = {}
+    while paths:
+        m = len(paths)
+        starts = _exclusive_cumsum(sizes)
         seg_all = np.repeat(np.arange(m, dtype=np.int64), sizes)
 
         tick = time.perf_counter()
@@ -720,9 +741,8 @@ def build_subtree_vectorized(
         # -- per-node label statistics, one pass for the level ----------
         stats_list: list[NodeStats] = []
         if is_clf:
-            y_codes_lvl = y_lvl.astype(np.int64)
             counts = np.bincount(
-                seg_all * n_classes + y_codes_lvl,
+                seg_all * n_classes + y_lvl.astype(np.int64),
                 minlength=m * n_classes,
             ).reshape(m, n_classes)
             maxes = counts.max(axis=1)
@@ -747,7 +767,7 @@ def build_subtree_vectorized(
 
         nodes: list[TreeNode] = []
         stopped = np.zeros(m, dtype=bool)
-        for i, (ids, path, attach) in enumerate(big):
+        for i, (path, attach) in enumerate(zip(paths, attaches)):
             stats = stats_list[i]
             node = TreeNode(
                 node_id=path,
@@ -755,88 +775,46 @@ def build_subtree_vectorized(
                 n_rows=stats.n_rows,
                 prediction=stats.prediction,
             )
-            attach_node(node, attach)
+            if attach is None:
+                root_holder.append(node)
+            else:
+                parent, side = attach
+                setattr(parent, side, node)
             nodes.append(node)
             stopped[i] = should_stop(stats, node.depth, config)
 
         act_idx = np.nonzero(~stopped)[0]
         if act_idx.size == 0:
-            frontier = []
-            continue
+            break
         a = int(act_idx.size)
         act_sizes = sizes[act_idx]
-        act_starts = np.zeros(a + 1, dtype=np.int64)
-        np.cumsum(act_sizes, out=act_starts[1:])
-        keep = ~stopped[seg_all]
-        act_rows = level_rows[keep]
-        y_act = y_lvl[keep]
-        seg_act = np.repeat(np.arange(a, dtype=np.int64), act_sizes)
+        act_starts = _exclusive_cumsum(act_sizes)
+        if a == m:
+            act_rows, y_act, seg_act = level_rows, y_lvl, seg_all
+        else:
+            keep = ~stopped[seg_all]
+            act_rows = level_rows[keep]
+            y_act = y_lvl[keep]
+            seg_act = np.repeat(np.arange(a, dtype=np.int64), act_sizes)
+            # Dropping the stopped nodes' rows keeps every order grouped
+            # and sorted; renumber the survivors to active positions.
+            to_act = np.cumsum(keep) - 1
+            orders = {c: to_act[o[keep[o]]] for c, o in orders.items()}
 
         # -- best split per active node ---------------------------------
-        next_frontier: list = []
-        if is_extra:
-            # Extra-trees draw one random column per node; the draws are
-            # keyed by (seed, path, column) so the scalar helpers run
-            # per node on the level-gathered slices unchanged.
-            for j in range(a):
-                i = int(act_idx[j])
-                _, path, _ = big[i]
-                s0, s1 = int(act_starts[j]), int(act_starts[j + 1])
-                ids_seg = act_rows[s0:s1]
-                y_seg = y_act[s0:s1]
-                split = None
-                split_values = None
-                for col in extra_tree_column_order(
-                    config.seed, path, candidate_columns
-                ):
-                    spec = table.column_spec(col)
-                    tick = time.perf_counter()
-                    vals = table.column(col)[ids_seg]
-                    gather_s += time.perf_counter() - tick
-                    cand = random_split_for_column(
-                        col,
-                        spec.kind,
-                        vals,
-                        y_seg,
-                        criterion,
-                        n_classes,
-                        extra_tree_split_rng(config.seed, path, col),
-                        spec.n_categories,
-                    )
-                    if cand is not None:
-                        split, split_values = cand, vals
-                        break
-                if not split_is_useful(split, 0.0, config):
-                    continue
-                node = nodes[i]
-                node.split = split
-                go_left = route_training_rows(split_values, split)
-                next_frontier.append(
-                    (ids_seg[go_left], 2 * path, (node, "left"))
-                )
-                next_frontier.append(
-                    (ids_seg[~go_left], 2 * path + 1, (node, "right"))
-                )
-            frontier = next_frontier
-            continue
-
         column_cache: dict[int, np.ndarray] = {}
         entries: list = []
-        y_codes_act = None
-        act_counts = None
-        if criterion.is_classification:
-            y_codes_act = (
-                y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
-            )
-            if is_clf:
-                act_counts = counts[act_idx]
-        for col in candidate_columns:
+        y_codes_act = (
+            y_act.astype(np.int64) if criterion.is_classification else None
+        )
+        # Extra-trees draw one column per node in the routing loop below.
+        for col in () if is_extra else candidate_columns:
             spec = table.column_spec(col)
             tick = time.perf_counter()
             v = table.column(col)[act_rows]
             gather_s += time.perf_counter() - tick
             column_cache[col] = v
-            if spec.kind is ColumnKind.NUMERIC and thresholds is not None:
+            if spec.kind is ColumnKind.NUMERIC and not exact_numeric:
                 entries.append(
                     _batched_binned_numeric(
                         col,
@@ -849,67 +827,117 @@ def build_subtree_vectorized(
                         n_classes,
                     )
                 )
-            elif spec.kind is ColumnKind.NUMERIC and criterion.is_classification:
-                entries.append(
-                    _batched_numeric_classification(
-                        col, v, y_codes_act, seg_act, a, act_sizes,
-                        act_counts, criterion, n_classes,
-                    )
-                )
             elif spec.kind is ColumnKind.NUMERIC:
+                order = orders.get(col)
+                if order is None:
+                    order = orders[col] = _presort(v)
+                if criterion.is_classification:
+                    entries.append(
+                        _batched_numeric_classification(
+                            col, v, order, y_codes_act, seg_act, act_sizes,
+                            criterion, n_classes,
+                        )
+                    )
+                else:
+                    entries.append(
+                        _batched_numeric_regression(
+                            col, v, order, y_act, seg_act, act_sizes
+                        )
+                    )
+            elif criterion.is_classification:
                 entries.append(
-                    _batched_numeric_regression(
-                        col, v, y_act, seg_act, a, act_sizes
+                    categorical_classification_scan(
+                        col, v, y_codes_act, seg_act, a, spec.n_categories,
+                        criterion, n_classes,
                     )
                 )
             else:
-                # Order-sensitive float accumulations that cannot be
-                # restarted per segment (category subset scans): run the
-                # scalar per-column search on the node-contiguous slices.
+                # Breiman's mean ordering sums floats per category in row
+                # order: run the per-node search on node-contiguous slices.
                 splits = [
-                    best_split_for_column(
+                    best_categorical_regression_split(
                         col,
-                        spec.kind,
                         v[act_starts[j] : act_starts[j + 1]],
                         y_act[act_starts[j] : act_starts[j + 1]],
-                        criterion,
-                        n_classes,
                         spec.n_categories,
                     )
                     for j in range(a)
                 ]
                 entries.append(_ObjectEntry(col, splits))
 
+        # -- route each splitting node's rows ---------------------------
+        go_left = np.zeros(act_rows.size, dtype=bool)
+        is_split = np.zeros(a, dtype=bool)
+        next_paths: list[int] = []
+        next_attaches: list = []
         for j in range(a):
             i = int(act_idx[j])
-            _, path, _ = big[i]
-            best_entry = None
-            best_key = None
-            for entry in entries:  # candidate_columns order
-                key = entry.key_for(j)
-                if key is None:
-                    continue
-                if best_key is None or key < best_key:
-                    best_key, best_entry = key, entry
-            split = None if best_entry is None else best_entry.split_for(j)
+            path = paths[i]
             s0, s1 = int(act_starts[j]), int(act_starts[j + 1])
-            stats = stats_list[i]
-            parent_imp = parent_impurity_of(
-                y_act[s0:s1], criterion, n_classes, counts=stats.counts
-            )
+            if is_extra:
+                split, values, spent = _extra_tree_split(
+                    table,
+                    config,
+                    path,
+                    candidate_columns,
+                    act_rows[s0:s1],
+                    y_act[s0:s1],
+                    criterion,
+                )
+                gather_s += spent
+                parent_imp = 0.0
+            else:
+                best_entry = None
+                best_key = None
+                for entry in entries:  # candidate_columns order
+                    key = entry.key_for(j)
+                    if key is None:
+                        continue
+                    if best_key is None or key < best_key:
+                        best_key, best_entry = key, entry
+                split = (
+                    None if best_entry is None else best_entry.split_for(j)
+                )
+                values = (
+                    None
+                    if split is None
+                    else column_cache[split.column][s0:s1]
+                )
+                parent_imp = parent_impurity_of(
+                    y_act[s0:s1],
+                    criterion,
+                    n_classes,
+                    counts=stats_list[i].counts,
+                )
             if not split_is_useful(split, parent_imp, config):
                 continue
             node = nodes[i]
             node.split = split
-            go_left = route_training_rows(
-                column_cache[split.column][s0:s1], split
-            )
-            ids_seg = act_rows[s0:s1]
-            next_frontier.append((ids_seg[go_left], 2 * path, (node, "left")))
-            next_frontier.append(
-                (ids_seg[~go_left], 2 * path + 1, (node, "right"))
-            )
-        frontier = next_frontier
+            go_left[s0:s1] = route_training_rows(values, split)
+            is_split[j] = True
+            next_paths += (2 * path, 2 * path + 1)
+            next_attaches += ((node, "left"), (node, "right"))
+        if not next_paths:
+            break
+
+        # -- next level: stable partition of rows and orders -------------
+        alive = None if is_split.all() else is_split[seg_act]
+        moving = (
+            np.arange(act_rows.size) if alive is None else np.flatnonzero(alive)
+        )
+        dest, n_left, n_total = _partition_dest(
+            seg_act[moving], go_left[moving], a
+        )
+        level_rows = np.empty(moving.size, dtype=np.int64)
+        level_rows[dest] = act_rows[moving]
+        new_pos = np.empty(act_rows.size, dtype=np.int64)
+        new_pos[moving] = dest
+        sizes = np.column_stack((n_left, n_total - n_left))[is_split].ravel()
+        orders = {
+            c: _next_order(o, alive, seg_act, go_left, new_pos, a)
+            for c, o in orders.items()
+        }
+        paths, attaches = next_paths, next_attaches
 
     if counters is not None:
         counters.gather_s += gather_s

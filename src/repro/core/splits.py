@@ -29,6 +29,7 @@ invariant of this reproduction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from ..data.schema import ColumnKind
 from ..data.table import MISSING_CODE
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
+    classification_impurity_columns,
     variance_rows,
     weighted_children_impurity,
 )
@@ -114,15 +115,16 @@ def best_numeric_split(
     n_right = n - n_left
 
     if criterion.is_classification:
-        # Per-class cumulative counts along the sorted order.
-        left_counts = np.empty((boundary.size, n_classes), dtype=np.float64)
+        # Per-class cumulative counts along the sorted order, one
+        # contiguous row per class.
+        left_counts = np.empty((n_classes, boundary.size), dtype=np.float64)
         for cls in range(n_classes):
             cum = np.cumsum(sy == cls)
-            left_counts[:, cls] = cum[boundary]
+            left_counts[cls] = cum[boundary]
         total_counts = np.bincount(sy.astype(np.int64), minlength=n_classes)
-        right_counts = total_counts[None, :] - left_counts
-        left_imp = classification_impurity_rows(left_counts, criterion)
-        right_imp = classification_impurity_rows(right_counts, criterion)
+        right_counts = total_counts[:, None] - left_counts
+        left_imp = classification_impurity_columns(left_counts, criterion)
+        right_imp = classification_impurity_columns(right_counts, criterion)
     else:
         cum_y = np.cumsum(sy)
         cum_y2 = np.cumsum(sy * sy)
@@ -144,15 +146,6 @@ def best_numeric_split(
         n_missing=n_missing,
         missing_to_left=nl >= nr,
     )
-
-
-def _category_stats_classification(
-    codes: np.ndarray, y: np.ndarray, n_categories: int, n_classes: int
-) -> np.ndarray:
-    """Class-count matrix of shape ``(n_categories, n_classes)``."""
-    flat = codes.astype(np.int64) * n_classes + y.astype(np.int64)
-    counts = np.bincount(flat, minlength=n_categories * n_classes)
-    return counts.reshape(n_categories, n_classes).astype(np.float64)
 
 
 def best_categorical_regression_split(
@@ -213,7 +206,8 @@ def best_categorical_regression_split(
     )
 
 
-def _enumerate_subsets(n: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _enumerate_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     """Proper non-empty subsets of ``range(n)`` that contain element 0.
 
     Fixing element 0 on the left removes mirror-image duplicates, leaving
@@ -228,7 +222,186 @@ def _enumerate_subsets(n: int) -> list[tuple[int, ...]]:
             subsets.append(subset)
     # mask == 0 case: {0} alone.
     subsets.insert(0, (0,))
-    return subsets
+    return tuple(subsets)
+
+
+@functools.cache
+def _subset_masks(n: int) -> np.ndarray:
+    """``(n, n_subsets)`` 0/1 membership of :func:`_enumerate_subsets`.
+
+    ``live.T @ masks`` sums each subset's class counts in one product.
+    The counts are integers held in float64, so every sum is exact and
+    equals the per-subset ``live[list(subset)].sum(axis=0)``.
+    """
+    masks = np.zeros((n, len(_enumerate_subsets(n))), dtype=np.float64)
+    for j, subset in enumerate(_enumerate_subsets(n)):
+        masks[list(subset), j] = 1.0
+    masks.flags.writeable = False
+    return masks
+
+
+#: Upper bound on the dense ``(segments, categories, classes)`` count cells
+#: one block of a batched subset scan allocates; a level with more
+#: segments is scanned in blocks of segments.
+_SUBSET_SCAN_CELLS = 1 << 20
+
+
+class SubsetScan:
+    """Case-3 results for one categorical column over a run of segments.
+
+    Per segment: which categories are non-empty (``live``, whose ascending
+    codes are the local indices the subset enumeration refers to), the
+    index of the winning candidate in the enumeration order (``-1``: no
+    split), its score and child sizes.  ``key_for``/``split_for`` let the training
+    kernel compare it with its other per-column results.
+    """
+
+    __slots__ = (
+        "column",
+        "live",
+        "best",
+        "scores",
+        "n_left",
+        "n_right",
+        "n_missing",
+    )
+
+    def __init__(
+        self, column: int, n_missing: np.ndarray, n_categories: int
+    ) -> None:
+        n_segments = n_missing.size
+        self.column = column
+        self.n_missing = n_missing
+        self.live = np.zeros((n_segments, n_categories), dtype=bool)
+        self.best = np.full(n_segments, -1, dtype=np.int64)
+        self.scores = np.full(n_segments, np.inf)
+        self.n_left = np.zeros(n_segments, dtype=np.int64)
+        self.n_right = np.zeros(n_segments, dtype=np.int64)
+
+    def key_for(self, segment: int) -> tuple[float, int] | None:
+        if self.best[segment] < 0:
+            return None
+        return (float(self.scores[segment]), self.column)
+
+    def split_for(self, segment: int) -> CandidateSplit | None:
+        b = int(self.best[segment])
+        if b < 0:
+            return None
+        codes = np.flatnonzero(self.live[segment])
+        g = codes.size
+        subset = (
+            _enumerate_subsets(g)[b] if g <= EXHAUSTIVE_SUBSET_LIMIT else (b,)
+        )
+        nl, nr = int(self.n_left[segment]), int(self.n_right[segment])
+        nm = int(self.n_missing[segment])
+        return CandidateSplit(
+            column=self.column,
+            kind=ColumnKind.CATEGORICAL,
+            score=float(self.scores[segment]),
+            n_left=nl + (nm if nl >= nr else 0),
+            n_right=nr + (0 if nl >= nr else nm),
+            left_categories=frozenset(int(codes[i]) for i in subset),
+            right_categories=frozenset(
+                int(codes[i]) for i in range(g) if i not in subset
+            ),
+            n_missing=nm,
+            missing_to_left=nl >= nr,
+        )
+
+
+def categorical_classification_scan(
+    column: int,
+    codes: np.ndarray,
+    y: np.ndarray,
+    seg: np.ndarray,
+    n_segments: int,
+    n_categories: int,
+    criterion: Impurity,
+    n_classes: int,
+) -> SubsetScan:
+    """Case 3 for every segment of a node-contiguous row run at once.
+
+    ``seg`` gives each row's segment (non-decreasing).  Each segment is
+    scanned exactly as a node on its own: exhaustive subset enumeration
+    when it sees at most :data:`EXHAUSTIVE_SUBSET_LIMIT` non-empty
+    categories, otherwise the paper's ``|S_l| = 1`` restriction.  Segments
+    with the same number of non-empty categories share one mask product
+    and one impurity pass.  Class counts are integers held in float64, so
+    every subset sum is exact and each segment's scores are the floats a
+    one-segment scan gives.
+    """
+    present = codes != MISSING_CODE
+    n_missing = np.zeros(n_segments, dtype=np.int64)
+    if not present.all():
+        n_missing = np.bincount(seg[~present], minlength=n_segments)
+        seg, codes, y = seg[present], codes[present], y[present]
+    scan = SubsetScan(column, n_missing, n_categories)
+    cells = n_categories * n_classes
+    block = max(1, _SUBSET_SCAN_CELLS // max(cells, 1))
+    bounds = np.searchsorted(seg, np.arange(0, n_segments + block, block))
+    for lo in range(0, n_segments, block):
+        r0, r1 = bounds[lo // block], bounds[lo // block + 1]
+        hi = min(lo + block, n_segments)
+        flat = ((seg[r0:r1] - lo) * n_categories + codes[r0:r1]) * n_classes
+        stats = np.bincount(
+            flat + y[r0:r1].astype(np.int64), minlength=(hi - lo) * cells
+        ).reshape(hi - lo, n_categories, n_classes)
+        _scan_subsets(scan, stats, lo, criterion)
+    return scan
+
+
+def _scan_subsets(
+    scan: SubsetScan, stats: np.ndarray, first: int, criterion: Impurity
+) -> None:
+    """Fill ``scan`` for segments ``first ...`` from their class counts.
+
+    ``stats`` is ``(segments, categories, classes)``.  All segments with
+    ``g`` non-empty categories go through one batched product with the
+    subset masks of ``g`` and one class-major impurity pass.
+    """
+    n_classes = stats.shape[2]
+    nonempty = stats.any(axis=2)
+    scan.live[first : first + stats.shape[0]] = nonempty
+    n_live = nonempty.sum(axis=1)
+    # Non-empty codes first, each run ascending: the local indices 0..g-1
+    # the subset enumeration refers to.
+    live_codes = np.argsort(~nonempty, axis=1, kind="stable")
+    segments_with = np.bincount(n_live)
+    for g in range(2, segments_with.size):
+        if not segments_with[g]:
+            continue
+        local = np.flatnonzero(n_live == g)
+        live = stats[local[:, None], live_codes[local, :g]].astype(
+            np.float64
+        )  # (segments, g, classes)
+        if g <= EXHAUSTIVE_SUBSET_LIMIT:
+            left = live.transpose(0, 2, 1) @ _subset_masks(g)
+        else:
+            left = live.transpose(0, 2, 1)  # singletons: |S_l| = 1
+        total = live.sum(axis=1)
+        right = total[:, :, None] - left
+        n_left = left.sum(axis=1)
+        n_right = total.sum(axis=1)[:, None] - n_left
+        shape = n_left.shape
+        left_imp = classification_impurity_columns(
+            left.transpose(1, 0, 2).reshape(n_classes, -1), criterion
+        ).reshape(shape)
+        right_imp = classification_impurity_columns(
+            right.transpose(1, 0, 2).reshape(n_classes, -1), criterion
+        ).reshape(shape)
+        scores = weighted_children_impurity(
+            left_imp, n_left, right_imp, n_right
+        )
+        valid = (n_left > 0) & (n_right > 0)
+        scores = np.where(valid, scores, np.inf)
+        best = np.argmin(scores, axis=1)  # first minimum per segment
+        rows = np.arange(local.size)
+        has = valid.any(axis=1)
+        segs = first + local[has]
+        scan.best[segs] = best[has]
+        scan.scores[segs] = scores[rows, best][has]
+        scan.n_left[segs] = n_left[rows, best][has]
+        scan.n_right[segs] = n_right[rows, best][has]
 
 
 def best_categorical_classification_split(
@@ -243,62 +416,13 @@ def best_categorical_classification_split(
 
     Exhaustive subset enumeration when the node sees at most
     :data:`EXHAUSTIVE_SUBSET_LIMIT` categories; otherwise the paper's
-    ``|S_l| = 1`` restriction (one-vs-rest per category).
+    ``|S_l| = 1`` restriction (one-vs-rest per category).  A one-segment
+    :func:`categorical_classification_scan`.
     """
-    present = codes != MISSING_CODE
-    n_missing = int(codes.size - present.sum())
-    cd = codes[present]
-    ys = y[present]
-    if cd.size < 2:
-        return None
-
-    stats = _category_stats_classification(cd, ys, n_categories, n_classes)
-    cat_totals = stats.sum(axis=1)
-    nonempty = np.nonzero(cat_totals > 0)[0]
-    if nonempty.size < 2:
-        return None
-    live = stats[nonempty]  # (g, k) stats of non-empty categories
-    total = live.sum(axis=0)
-    n_total = float(total.sum())
-
-    if nonempty.size <= EXHAUSTIVE_SUBSET_LIMIT:
-        candidates = _enumerate_subsets(nonempty.size)
-        left_counts = np.stack(
-            [live[list(subset)].sum(axis=0) for subset in candidates]
-        )
-    else:
-        candidates = [(i,) for i in range(nonempty.size)]
-        left_counts = live
-
-    right_counts = total[None, :] - left_counts
-    n_left = left_counts.sum(axis=1)
-    n_right = n_total - n_left
-    valid = (n_left > 0) & (n_right > 0)
-    if not valid.any():
-        return None
-    left_imp = classification_impurity_rows(left_counts, criterion)
-    right_imp = classification_impurity_rows(right_counts, criterion)
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
-    scores = np.where(valid, scores, np.inf)
-    best = int(np.argmin(scores))
-
-    left_local = set(candidates[best])
-    left = frozenset(int(nonempty[i]) for i in left_local)
-    right = frozenset(
-        int(nonempty[i]) for i in range(nonempty.size) if i not in left_local
-    )
-    nl, nr = int(n_left[best]), int(n_right[best])
-    return CandidateSplit(
-        column=column,
-        kind=ColumnKind.CATEGORICAL,
-        score=float(scores[best]),
-        n_left=nl + (n_missing if nl >= nr else 0),
-        n_right=nr + (0 if nl >= nr else n_missing),
-        left_categories=left,
-        right_categories=right,
-        n_missing=n_missing,
-        missing_to_left=nl >= nr,
-    )
+    seg = np.zeros(codes.size, dtype=np.int64)
+    return categorical_classification_scan(
+        column, codes, y, seg, 1, n_categories, criterion, n_classes
+    ).split_for(0)
 
 
 def best_split_for_column(
@@ -403,8 +527,8 @@ def _realized_score(
     if criterion.is_classification:
         lc = np.bincount(yl.astype(np.int64), minlength=n_classes).astype(float)
         rc = np.bincount(yr.astype(np.int64), minlength=n_classes).astype(float)
-        li = classification_impurity_rows(lc[None, :], criterion)[0]
-        ri = classification_impurity_rows(rc[None, :], criterion)[0]
+        li = classification_impurity_columns(lc[:, None], criterion)[0]
+        ri = classification_impurity_columns(rc[:, None], criterion)[0]
     else:
         li = variance_rows(
             np.array([float(yl.size)]),

@@ -291,6 +291,34 @@ def _parity_table(problem=ProblemKind.CLASSIFICATION, missing=0.1, seed=9):
     )
 
 
+def _numeric_table(columns, y, problem=ProblemKind.CLASSIFICATION):
+    from repro.data import ColumnKind, ColumnSpec, DataTable, TableSchema
+
+    specs = tuple(ColumnSpec(name, ColumnKind.NUMERIC) for name in columns)
+    if problem is ProblemKind.CLASSIFICATION:
+        classes = tuple(str(c) for c in range(int(np.max(y)) + 1))
+        target = ColumnSpec("y", ColumnKind.CATEGORICAL, classes)
+        y = np.asarray(y, dtype=np.int32)
+    else:
+        target = ColumnSpec("y", ColumnKind.NUMERIC)
+        y = np.asarray(y, dtype=np.float64)
+    schema = TableSchema(columns=specs, target=target, problem=problem)
+    return DataTable(
+        schema, [np.asarray(v, dtype=np.float64) for v in columns.values()], y
+    )
+
+
+def _tie_table(problem=ProblemKind.CLASSIFICATION, n=500, seed=4):
+    """Integer-valued columns with 3-6 distinct values: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    cols = {f"x{j}": rng.integers(0, 3 + j, n).astype(float) for j in range(4)}
+    y = (cols["x0"] + cols["x1"] + rng.integers(0, 3, n)) % 3
+    if problem is ProblemKind.REGRESSION:
+        # Inexact float targets: a tie run's sum depends on its row order.
+        y = y + rng.random(n)
+    return _numeric_table(cols, y, problem)
+
+
 def assert_kernels_bit_identical(table, config, row_ids=None):
     """Scalar and vectorized builds must serialize to identical dicts."""
     from dataclasses import replace
@@ -360,21 +388,106 @@ class TestKernelParity:
     def test_edge_configs(self, config):
         assert_kernels_bit_identical(_parity_table(), config)
 
-    @pytest.mark.parametrize("cutoff", [0, 3, 1_000_000])
-    def test_depth_next_cutoff_is_exact(self, cutoff):
-        """Any small-node cutoff only moves work between identical paths."""
-        from repro.core.kernel import build_subtree_vectorized
-
-        table = _parity_table()
-        cfg = TreeConfig(max_depth=None, seed=5)
-        rows = np.arange(table.n_rows, dtype=np.int64)
-        scalar = build_subtree(table, cfg, rows)
-        vec = build_subtree_vectorized(
-            table, cfg, rows, small_node_cutoff=cutoff
+    # -- presorted level orders: bootstrap, order, NaN, ties, depth --------
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize(
+        "problem", [ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION]
+    )
+    def test_bootstrap_duplicates(self, problem, shuffle):
+        """Repeated row ids are distinct positions with equal values."""
+        table = _parity_table(problem=problem)
+        rows = bootstrap_row_ids(13, table.n_rows)
+        assert np.unique(rows).size < rows.size
+        if shuffle:
+            rows = np.random.default_rng(13).permutation(rows)
+        assert_kernels_bit_identical(
+            table, TreeConfig(max_depth=None, seed=13), row_ids=rows
         )
+
+    @pytest.mark.parametrize("criterion", [Impurity.GINI, Impurity.ENTROPY])
+    def test_shuffled_row_ids(self, criterion):
+        """Ties sort by position in ``I_x``, whatever order it comes in."""
+        table = _tie_table()
+        rows = np.random.default_rng(5).permutation(table.n_rows)[:450]
+        assert_kernels_bit_identical(
+            table,
+            TreeConfig(max_depth=None, criterion=criterion, seed=5),
+            row_ids=rows,
+        )
+
+    def test_shuffled_subtree_task(self):
+        """A subtree-task's unsorted ``I_x`` below a non-root heap path."""
+        from repro.core.kernel import build_subtree_vectorized
         from repro.core.tree import node_to_dict
 
+        table = _parity_table(missing=0.15)
+        rows = np.random.default_rng(8).permutation(table.n_rows)[:300]
+        cfg = TreeConfig(max_depth=9, seed=8)
+        scalar = build_subtree(table, cfg, rows, (0, 2, 4), root_path=5)
+        vec = build_subtree_vectorized(table, cfg, rows, (0, 2, 4), root_path=5)
         assert node_to_dict(scalar) == node_to_dict(vec)
+
+    @pytest.mark.parametrize(
+        "problem", [ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION]
+    )
+    def test_nan_heavy_columns(self, problem):
+        table = _parity_table(problem=problem, missing=0.6)
+        assert_kernels_bit_identical(table, TreeConfig(max_depth=None, seed=6))
+
+    @pytest.mark.parametrize(
+        "problem", [ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION]
+    )
+    def test_column_all_nan_in_a_node(self, problem):
+        """``a`` is NaN on the right of the root's ``b <= 0.5`` split."""
+        rng = np.random.default_rng(11)
+        n = 400
+        b = rng.random(n)
+        c = rng.random(n)
+        a = np.where(b <= 0.5, rng.random(n), np.nan)
+        y = (b > 0.5).astype(int) ^ (c > 0.7) ^ (rng.random(n) < 0.05)
+        if problem is ProblemKind.REGRESSION:
+            y = y + 0.1 * rng.random(n)
+        table = _numeric_table({"a": a, "b": b, "c": c}, y, problem)
+        tree = assert_kernels_bit_identical(
+            table, TreeConfig(max_depth=None, seed=11)
+        )
+        assert tree.root.split.column == 1  # the premise: b splits first
+
+    @pytest.mark.parametrize(
+        "criterion", [Impurity.GINI, Impurity.ENTROPY, Impurity.VARIANCE]
+    )
+    def test_integer_columns_heavy_ties(self, criterion):
+        problem = (
+            ProblemKind.REGRESSION
+            if criterion is Impurity.VARIANCE
+            else ProblemKind.CLASSIFICATION
+        )
+        table = _tie_table(problem)
+        assert_kernels_bit_identical(
+            table, TreeConfig(max_depth=None, criterion=criterion, seed=2)
+        )
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_unbounded_depth(self, n_classes):
+        """Grown to single rows: both class-count paths, many levels."""
+        table = generate(
+            SyntheticSpec(
+                name="kdeep",
+                problem=ProblemKind.CLASSIFICATION,
+                n_rows=1500,
+                n_numeric=5,
+                n_categorical=1,
+                n_classes=n_classes,
+                planted_depth=6,
+                noise=0.4,
+                missing_rate=0.05,
+                seed=n_classes,
+            )
+        )
+        tree = assert_kernels_bit_identical(
+            table, TreeConfig(max_depth=None, seed=n_classes)
+        )
+        assert tree.depth > 10
 
     def test_env_override_wins(self, monkeypatch):
         from repro.core.kernel import KernelCounters, build_subtree_auto

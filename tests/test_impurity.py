@@ -8,16 +8,40 @@ from hypothesis import strategies as st
 from repro.core.impurity import (
     Impurity,
     classification_impurity,
-    classification_impurity_rows,
+    classification_impurity_columns,
     default_impurity,
     entropy,
-    entropy_rows,
+    entropy_columns,
     gini,
-    gini_rows,
+    gini_columns,
     variance,
     variance_rows,
     weighted_children_impurity,
 )
+from repro.core.splits import _enumerate_subsets, _subset_masks
+
+
+# Row-major ``(m, k)`` scorers: the formulas the split scans used before
+# class counts went class-major.  Kept here as the bit-for-bit oracle.
+def gini_rows(counts: np.ndarray) -> np.ndarray:
+    totals = counts.sum(axis=1)
+    safe = np.where(totals == 0, 1.0, totals)
+    p = counts / safe[:, None]
+    out = 1.0 - (p * p).sum(axis=1)
+    out[totals == 0] = 0.0
+    return out
+
+
+def entropy_rows(counts: np.ndarray) -> np.ndarray:
+    totals = counts.sum(axis=1)
+    safe = np.where(totals == 0, 1.0, totals)
+    p = counts / safe[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(p > 0, np.log(p), 0.0)
+    out = -(p * logp).sum(axis=1)
+    out[totals == 0] = 0.0
+    return out
+
 
 counts_strategy = st.lists(
     st.integers(min_value=0, max_value=1000), min_size=1, max_size=8
@@ -101,7 +125,7 @@ class TestVectorizedForms:
         matrix = np.zeros((len(rows), k))
         for i, r in enumerate(rows):
             matrix[i, : len(r)] = r
-        vec = gini_rows(matrix)
+        vec = gini_columns(matrix.T)
         for i in range(len(rows)):
             assert vec[i] == pytest.approx(gini(matrix[i]))
 
@@ -111,7 +135,7 @@ class TestVectorizedForms:
         matrix = np.zeros((len(rows), k))
         for i, r in enumerate(rows):
             matrix[i, : len(r)] = r
-        vec = entropy_rows(matrix)
+        vec = entropy_columns(matrix.T)
         for i in range(len(rows)):
             assert vec[i] == pytest.approx(entropy(matrix[i]))
 
@@ -126,8 +150,54 @@ class TestVectorizedForms:
             assert vec[i] == pytest.approx(np.var(g), abs=1e-12)
 
     def test_zero_rows_are_zero(self):
-        assert gini_rows(np.zeros((2, 3))).tolist() == [0.0, 0.0]
-        assert entropy_rows(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+        assert gini_columns(np.zeros((3, 2))).tolist() == [0.0, 0.0]
+        assert entropy_columns(np.zeros((3, 2))).tolist() == [0.0, 0.0]
+
+
+@st.composite
+def class_count_matrices(draw):
+    """``(m, k)`` integer class counts with zero-sum and pure rows mixed in."""
+    k = draw(st.sampled_from([*range(2, 21), 129, 300]))
+    m = draw(st.integers(min_value=1, max_value=12))
+    cap = draw(st.sampled_from([1, 5, 1000, 10**7]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, cap + 1, size=(m, k)).astype(np.float64)
+    kind = rng.integers(0, 3, size=m)
+    counts[kind == 1] = 0.0  # sums to zero
+    pure = np.flatnonzero(kind == 2)
+    counts[pure] = 0.0
+    counts[pure, rng.integers(0, k, size=pure.size)] = float(cap)
+    return counts
+
+
+class TestColumnMajorOracle:
+    """Class-major scores equal the row-major formulas bit for bit.
+
+    The split scans hold class counts ``(k, m)``; every score — and so
+    every ``argmin`` winner — must be the float the ``(m, k)`` row-major
+    formulas produce, including the sign of zero.
+    """
+
+    @given(class_count_matrices(), st.sampled_from(["C", "F"]))
+    def test_matches_row_major_bit_for_bit(self, counts, layout):
+        class_major = np.asarray(counts.T, order=layout)
+        for criterion, oracle in (
+            (Impurity.GINI, gini_rows),
+            (Impurity.ENTROPY, entropy_rows),
+        ):
+            got = classification_impurity_columns(class_major, criterion)
+            assert got.tobytes() == oracle(counts).tobytes()
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_subset_mask_product_matches_enumeration(self, g):
+        rng = np.random.default_rng(g)
+        live = rng.integers(0, 10**6, size=(g, 5)).astype(np.float64)
+        stacked = np.stack(
+            [live[list(subset)].sum(axis=0) for subset in _enumerate_subsets(g)]
+        )
+        product = live.T @ _subset_masks(g)
+        assert product.tobytes() == np.ascontiguousarray(stacked.T).tobytes()
 
 
 class TestWeightedChildren:
@@ -164,7 +234,9 @@ class TestDispatch:
         with pytest.raises(ValueError):
             classification_impurity(np.array([1.0]), Impurity.VARIANCE)
         with pytest.raises(ValueError):
-            classification_impurity_rows(np.ones((1, 2)), Impurity.VARIANCE)
+            classification_impurity_columns(
+                np.ones((2, 1)), Impurity.VARIANCE
+            )
 
     def test_defaults_match_paper(self):
         assert default_impurity(True) is Impurity.GINI

@@ -23,6 +23,7 @@ from repro.core.splits import (
     best_categorical_regression_split,
     best_numeric_split,
     best_split_for_column,
+    categorical_classification_scan,
     random_split_for_column,
     route_test_value,
     route_training_rows,
@@ -253,6 +254,116 @@ class TestCategoricalClassification:
             )
             is None
         )
+
+
+def per_node_subset_reference(codes, y, n_categories, criterion, n_classes):
+    """Case 3 one node at a time, with per-subset list-stack counts and
+    row-major ``(candidates, classes)`` scoring: the formulation the
+    batched scan replaced, kept as its oracle."""
+    from repro.core.splits import _enumerate_subsets
+
+    present = codes != -1
+    n_missing = int(codes.size - present.sum())
+    cd, ys = codes[present].astype(np.int64), y[present].astype(np.int64)
+    stats = (
+        np.bincount(cd * n_classes + ys, minlength=n_categories * n_classes)
+        .reshape(n_categories, n_classes)
+        .astype(np.float64)
+    )
+    nonempty = np.nonzero(stats.sum(axis=1) > 0)[0]
+    if nonempty.size < 2:
+        return None
+    live = stats[nonempty]
+    total = live.sum(axis=0)
+    if nonempty.size <= EXHAUSTIVE_SUBSET_LIMIT:
+        candidates = _enumerate_subsets(nonempty.size)
+        left = np.stack([live[list(sub)].sum(axis=0) for sub in candidates])
+    else:
+        candidates = [(i,) for i in range(nonempty.size)]
+        left = live
+    right = total[None, :] - left
+    n_left = left.sum(axis=1)
+    n_right = float(total.sum()) - n_left
+
+    def rows(counts):
+        totals = counts.sum(axis=1)
+        p = counts / np.where(totals == 0, 1.0, totals)[:, None]
+        if criterion is Impurity.GINI:
+            out = 1.0 - (p * p).sum(axis=1)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = -(p * np.where(p > 0, np.log(p), 0.0)).sum(axis=1)
+        out[totals == 0] = 0.0
+        return out
+
+    scores = weighted_children_impurity(rows(left), n_left, rows(right), n_right)
+    best = int(np.argmin(scores))
+    chosen = set(candidates[best])
+    nl, nr = int(n_left[best]), int(n_right[best])
+    return CandidateSplit(
+        column=0,
+        kind=ColumnKind.CATEGORICAL,
+        score=float(scores[best]),
+        n_left=nl + (n_missing if nl >= nr else 0),
+        n_right=nr + (0 if nl >= nr else n_missing),
+        left_categories=frozenset(int(nonempty[i]) for i in chosen),
+        right_categories=frozenset(
+            int(nonempty[i]) for i in range(nonempty.size) if i not in chosen
+        ),
+        n_missing=n_missing,
+        missing_to_left=nl >= nr,
+    )
+
+
+class TestBatchedSubsetScan:
+    """A many-node subset scan equals the per-node scan, node by node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 6, 8, 9, 12]),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from([Impurity.GINI, Impurity.ENTROPY]),
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_node_reference(
+        self, n_categories, n_classes, criterion, sizes, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        codes = rng.integers(-1, n_categories, n).astype(np.int32)
+        y = rng.integers(0, n_classes, n).astype(np.int64)
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        scan = categorical_classification_scan(
+            0, codes, y, seg, len(sizes), n_categories, criterion, n_classes
+        )
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        for s in range(len(sizes)):
+            lo, hi = starts[s], starts[s + 1]
+            expected = per_node_subset_reference(
+                codes[lo:hi], y[lo:hi], n_categories, criterion, n_classes
+            )
+            assert scan.split_for(s) == expected
+            key = scan.key_for(s)
+            assert key == (None if expected is None else expected.sort_key())
+
+    def test_blocks_of_segments_match_one_block(self, monkeypatch):
+        """The memory bound on one block never changes a result."""
+        import repro.core.splits as splits
+
+        rng = np.random.default_rng(4)
+        seg = np.sort(rng.integers(0, 30, 600))
+        codes = rng.integers(-1, 7, 600).astype(np.int32)
+        y = rng.integers(0, 3, 600)
+        whole = categorical_classification_scan(
+            0, codes, y, seg, 30, 7, Impurity.GINI, 3
+        )
+        monkeypatch.setattr(splits, "_SUBSET_SCAN_CELLS", 7 * 3 * 4)
+        blocks = categorical_classification_scan(
+            0, codes, y, seg, 30, 7, Impurity.GINI, 3
+        )
+        for s in range(30):
+            assert whole.split_for(s) == blocks.split_for(s)
 
 
 class TestDispatcher:
